@@ -79,7 +79,6 @@ class ChannelConfig:
     geometry: ArrayGeometry
     n_paths: int = 3
     path_loss: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_tx != self.geometry.n_elements:

@@ -1,141 +1,74 @@
-"""Fused subset-rate kernel: the hot inner loop of every selection solver.
+"""Batched subset-rate engine: the hot inner loop of every selection solver.
 
-Evaluating one candidate user subset means: gather the selected rows,
-build the conjugate-phase analog precoder, zero-force the effective
-channel, normalize per-stream power and accumulate log2(1 + SINR).
-Exhaustive search calls this for every combination on every channel
-realization, so the straight-line implementation below is compiled with
-numba when available.  ``MMWSEL_NO_NUMBA=1`` (or numba being absent)
-selects the pure-numpy twin; both lanes share the same source, so they
-agree to floating-point noise.  ``benchmarks/bench_selection.py`` times
-the two lanes against each other.
+Rating a user subset S means: build the conjugate-phase analog precoder
+of its rows, zero-force the effective channel, normalize per-stream power
+and accumulate log2(1 + SINR).  The analog column of user u depends on
+user u's row alone, so with
+
+    F = exp(-j * angle(H)).T / sqrt(n_tx)     (n_tx x n_users)
+    G = H @ F,   A = F^H @ F                  (n_users x n_users)
+
+every subset's effective channel is the k x k submatrix G[S, S], and the
+squared norm of a precoded stream F[:, S] @ f is f^H A[S, S] f.  After one
+O(n_users^2 * n_tx) precompute per channel, each subset costs one k x k
+SVD pseudo-inverse, whatever n_tx is, and a whole table of subsets is one
+batched call.  Each row of the result is computed on its own, so a rate is
+bitwise the same whichever batch it arrives in; exhaustive search and a
+single-subset re-evaluation of its winner therefore agree exactly.
+
+``precoding`` + ``rates.evaluate_selection`` build the explicit matrices
+instead and serve as the independent reference.  ``BACKEND`` names the one
+implementation for run records.
 """
-
-import os
 
 import numpy as np
 
-_ZF_RCOND = 1e-12
+from .precoding import ZF_RCOND
+
+BACKEND = "numpy"
 
 
-def _subset_rate_impl(h, idx, noise_power):
-    """Sum rate of the subset ``idx`` of rows of ``h``.
+def subset_rates(h: np.ndarray, combos: np.ndarray, noise_power: float):
+    """Rate every row of a (W, k) table of user subsets of ``h``.
 
-    Returns (sum_rate, sinr, rank_deficient).  Straight-line math only,
-    kept numba-compilable: no dataclasses, no fancy indexing.
+    Returns (rates (W,), sinr (W, k), rank_deficient (W,)).  A numerically
+    singular effective channel (singular values at or below ZF_RCOND times
+    the largest) loses those streams and is flagged, not rejected.
     """
-    n_tx = h.shape[1]
-    k = idx.shape[0]
-    inv_sqrt_nt = 1.0 / np.sqrt(n_tx)
+    h = np.asarray(h, dtype=np.complex128)
+    combos = np.asarray(combos, dtype=np.int64)
+    f = np.exp(-1j * np.angle(h)).T / np.sqrt(h.shape[1])
+    gram = h @ f
+    power = f.conj().T @ f
+    rows, cols = combos[:, :, None], combos[:, None, :]
+    g_sub = gram[rows, cols]
 
-    b = np.empty((k, n_tx), dtype=np.complex128)
-    for i in range(k):
-        b[i, :] = h[idx[i], :]
+    u, s, vh = np.linalg.svd(g_sub)
+    keep = (s > ZF_RCOND * s[:, :1]) & (s > 0.0)
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    f_bb = (vh.conj().transpose(0, 2, 1) * s_inv[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
-    # Analog stage: column u matches the conjugate phases of user u's row.
-    f_rf = np.empty((n_tx, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(n_tx):
-            mag = np.abs(b[i, j])
-            if mag > 0.0:
-                f_rf[j, i] = (np.conj(b[i, j]) / mag) * inv_sqrt_nt
-            else:
-                f_rf[j, i] = inv_sqrt_nt
+    norm = np.sqrt(np.real(np.sum(f_bb.conj() * (power[rows, cols] @ f_bb), axis=1)))
+    f_bb = f_bb / np.where(norm > 0.0, norm, 1.0)[:, None, :]
 
-    # Baseband stage: SVD pseudo-inverse of the k x k effective channel.
-    h_eff = b @ f_rf
-    u, s, vh = np.linalg.svd(h_eff)
-    cutoff = _ZF_RCOND * s[0]
-    rank_deficient = False
-    s_inv = np.zeros(k)
-    for i in range(k):
-        if s[i] > cutoff and s[i] > 0.0:
-            s_inv[i] = 1.0 / s[i]
-        else:
-            rank_deficient = True
-    f_bb = (vh.conj().T * s_inv) @ u.conj().T
-
-    # Per-stream power normalization: ||F_RF @ f_bb[:, u]|| = 1.
-    fwd = f_rf @ f_bb
-    for j in range(k):
-        nrm = np.sqrt(np.sum(np.abs(fwd[:, j]) ** 2))
-        if nrm > 0.0:
-            fwd[:, j] = fwd[:, j] / nrm
-
-    g = b @ fwd
-    sinr = np.empty(k)
-    for i in range(k):
-        signal = np.abs(g[i, i]) ** 2
-        interference = 0.0
-        for j in range(k):
-            if j != i:
-                interference += np.abs(g[i, j]) ** 2
-        sinr[i] = signal / (interference + noise_power)
-
-    rate = 0.0
-    for i in range(k):
-        rate += np.log2(1.0 + sinr[i])
-    return rate, sinr, rank_deficient
-
-
-def _scan_best_impl(h, combos, noise_power):
-    """Index and rate of the best row of ``combos`` (ties: first/lowest label)."""
-    best_i = 0
-    best_rate = -1.0
-    for i in range(combos.shape[0]):
-        rate, _, _ = _subset_rate_impl(h, combos[i], noise_power)
-        if rate > best_rate:
-            best_rate = rate
-            best_i = i
-    return best_i, best_rate
-
-
-# Pure-numpy lane, always importable.
-subset_rate_numpy = _subset_rate_impl
-scan_best_numpy = _scan_best_impl
-
-_disabled = os.environ.get("MMWSEL_NO_NUMBA", "").strip() not in ("", "0")
-USING_NUMBA = False
-if not _disabled:
-    try:
-        from numba import njit
-
-        subset_rate_jit = njit(cache=True)(_subset_rate_impl)
-
-        @njit(cache=True)
-        def scan_best_jit(h, combos, noise_power):
-            best_i = 0
-            best_rate = -1.0
-            for i in range(combos.shape[0]):
-                rate, _, _ = subset_rate_jit(h, combos[i], noise_power)
-                if rate > best_rate:
-                    best_rate = rate
-                    best_i = i
-            return best_i, best_rate
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if USING_NUMBA:
-    BACKEND = "numba"
-    _subset_rate = subset_rate_jit
-    _scan_best = scan_best_jit
-else:
-    BACKEND = "numpy"
-    _subset_rate = subset_rate_numpy
-    _scan_best = scan_best_numpy
+    gains = np.abs(g_sub @ f_bb) ** 2
+    signal = np.diagonal(gains, axis1=1, axis2=2)
+    interference = np.sum(np.where(np.eye(combos.shape[1], dtype=bool), 0.0, gains), axis=2)
+    sinr = signal / (interference + noise_power)
+    return np.sum(np.log2(1.0 + sinr), axis=1), sinr, ~np.all(keep, axis=1)
 
 
 def subset_rate(h: np.ndarray, idx: np.ndarray, noise_power: float):
-    """Dispatching wrapper: (sum_rate, sinr, rank_deficient) for one subset."""
-    return _subset_rate(np.ascontiguousarray(h, dtype=np.complex128),
-                        np.asarray(idx, dtype=np.int64),
-                        float(noise_power))
+    """(sum_rate, sinr, rank_deficient) of one subset: a batch of one."""
+    rates, sinr, flags = subset_rates(h, np.asarray(idx, dtype=np.int64)[None, :], noise_power)
+    return float(rates[0]), sinr[0], bool(flags[0])
 
 
 def scan_best(h: np.ndarray, combos: np.ndarray, noise_power: float):
-    """Best row of a (W, k) combination table; returns (row_index, rate)."""
-    return _scan_best(np.ascontiguousarray(h, dtype=np.complex128),
-                      np.ascontiguousarray(combos, dtype=np.int64),
-                      float(noise_power))
+    """Best row of a (W, k) combination table; returns (row_index, rate).
+
+    Ties go to the first row, i.e. the lowest label of a lexicographic table.
+    """
+    rates = subset_rates(h, combos, noise_power)[0]
+    best = int(np.argmax(rates))
+    return best, float(rates[best])

@@ -80,24 +80,23 @@ def exhaustive_search(h: np.ndarray, n_select: int, noise_power: float):
 
 
 def greedy_select(h: np.ndarray, n_select: int, noise_power: float) -> np.ndarray:
-    """Incremental selection: each step adds the user maximizing the sum rate."""
+    """Incremental selection: each step adds the user maximizing the sum rate.
+
+    Each step rates all candidates in one ``scan_best`` call over a table
+    ordered by the added user, so its first-argmax tie-break picks the
+    lowest user index, as a strict ``>`` scan in user order would.
+    """
     n_users = h.shape[0]
     if n_select > n_users:
         raise ValueError("cannot select more users than available")
-    chosen: list[int] = []
+    chosen = np.empty(0, dtype=np.int64)
     for _ in range(n_select):
-        best_user = -1
-        best_rate = -1.0
-        for u in range(n_users):
-            if u in chosen:
-                continue
-            candidate = np.array(sorted(chosen + [u]), dtype=np.int64)
-            rate, _, _ = kernels.subset_rate(h, candidate, noise_power)
-            if rate > best_rate:
-                best_rate = rate
-                best_user = u
-        chosen.append(best_user)
-    return np.array(sorted(chosen), dtype=np.int64)
+        rest = np.setdiff1d(np.arange(n_users), chosen)
+        candidates = np.sort(np.column_stack(
+            [np.broadcast_to(chosen, (rest.size, chosen.size)), rest]), axis=1)
+        best, _ = kernels.scan_best(h, candidates, noise_power)
+        chosen = np.append(chosen, rest[best])
+    return np.sort(chosen)
 
 
 @dataclass
@@ -119,24 +118,22 @@ class BpsoParams:
             raise ValueError("pop_size must be >= 1 and iterations >= 0")
 
 
-def _repair(bits: np.ndarray, scores: np.ndarray, n_select: int) -> np.ndarray:
-    """Force exactly n_select ones, keeping the largest sigmoid scores.
+def _repair(members: np.ndarray, scores: np.ndarray, n_select: int) -> np.ndarray:
+    """Per particle (row), the sorted indices of exactly n_select members.
 
-    Stable ordering makes ties resolve toward the smallest user index.
+    Members rank before non-members and each group by sigmoid score, so a
+    particle with too many members keeps its highest-scoring ones and one
+    with too few adds its highest-scoring non-members.  The sort is stable,
+    so ties resolve toward the smallest user index.
     """
-    ones = np.flatnonzero(bits)
-    if ones.size > n_select:
-        keep = ones[np.argsort(-scores[ones], kind="stable")[:n_select]]
-        repaired = np.zeros_like(bits)
-        repaired[keep] = 1.0
-        return repaired
-    if ones.size < n_select:
-        zeros = np.flatnonzero(bits == 0)
-        add = zeros[np.argsort(-scores[zeros], kind="stable")[:n_select - ones.size]]
-        repaired = bits.copy()
-        repaired[add] = 1.0
-        return repaired
-    return bits
+    order = np.lexsort((-scores, ~members), axis=-1)
+    return np.sort(order[:, :n_select], axis=1)
+
+
+def _positions(subsets: np.ndarray, n_users: int) -> np.ndarray:
+    pos = np.zeros((subsets.shape[0], n_users))
+    np.put_along_axis(pos, subsets, 1.0, axis=1)
+    return pos
 
 
 def bpso_select(h: np.ndarray, n_select: int, noise_power: float,
@@ -147,24 +144,25 @@ def bpso_select(h: np.ndarray, n_select: int, noise_power: float,
     improves.  With return_history=True also returns the per-iteration
     global-best rate trace (length iterations + 1, including the initial
     population).
+
+    The whole population is rated in one ``subset_rates`` call per
+    iteration.  No position depends on a fitness of the same iteration,
+    and gbest is at least every pbest, so improving each pbest where its
+    fitness rises and then letting the first argmax replace gbest if it is
+    strictly better gives exactly the particle-by-particle update order.
     """
     n_users = h.shape[0]
     if n_select > n_users:
         raise ValueError("cannot select more users than available")
     rng = substream(params.seed, tag=TAG_BPSO)
 
-    def fitness(position: np.ndarray) -> float:
-        idx = np.flatnonzero(position).astype(np.int64)
-        rate, _, _ = kernels.subset_rate(h, idx, noise_power)
-        return rate
-
-    pos = np.zeros((params.pop_size, n_users))
-    for p in range(params.pop_size):
-        pos[p, rng.permutation(n_users)[:n_select]] = 1.0
+    subsets = np.sort([rng.permutation(n_users)[:n_select]
+                       for _ in range(params.pop_size)], axis=1)
+    pos = _positions(subsets, n_users)
     vel = rng.uniform(-params.v_max, params.v_max, size=(params.pop_size, n_users))
 
     pbest = pos.copy()
-    pbest_fit = np.array([fitness(pos[p]) for p in range(params.pop_size)])
+    pbest_fit = kernels.subset_rates(h, subsets, noise_power)[0]
     g = int(np.argmax(pbest_fit))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
@@ -183,16 +181,16 @@ def bpso_select(h: np.ndarray, n_select: int, noise_power: float,
         np.clip(vel, -params.v_max, params.v_max, out=vel)
         scores = 1.0 / (1.0 + np.exp(-vel))
         draws = rng.random((params.pop_size, n_users))
-        for p in range(params.pop_size):
-            bits = (draws[p] < scores[p]).astype(np.float64)
-            pos[p] = _repair(bits, scores[p], n_select)
-            fit = fitness(pos[p])
-            if fit > pbest_fit[p]:
-                pbest_fit[p] = fit
-                pbest[p] = pos[p].copy()
-                if fit > gbest_fit:
-                    gbest_fit = fit
-                    gbest = pos[p].copy()
+        subsets = _repair(draws < scores, scores, n_select)
+        pos = _positions(subsets, n_users)
+        fit = kernels.subset_rates(h, subsets, noise_power)[0]
+        improved = fit > pbest_fit
+        pbest_fit[improved] = fit[improved]
+        pbest[improved] = pos[improved]
+        g = int(np.argmax(fit))
+        if fit[g] > gbest_fit:
+            gbest_fit = float(fit[g])
+            gbest = pos[g].copy()
         history.append(gbest_fit)
 
     subset = np.flatnonzero(gbest).astype(np.int64)

@@ -136,6 +136,16 @@ def test_eval_rate_outputs(workspace):
     assert "# n_users = 4" in text
 
 
+def test_eval_rate_es_not_dominant_is_data_error(workspace, monkeypatch):
+    tmp, cfg = workspace
+    main(["gen-dataset", "--config", cfg])
+    main(["train", "--config", cfg])
+    monkeypatch.setattr(cli, "exhaustive_search",
+                        lambda h, n_select, noise: (np.arange(n_select), -1.0))
+    assert main(["eval-rate", "--config", cfg, "--out", str(tmp / "rates.csv")]) == 2
+    assert not (tmp / "rates.csv").exists()
+
+
 def test_csi_sweep_xi_one_matches_eval_rate_cnn(workspace):
     tmp, cfg = workspace
     main(["gen-dataset", "--config", cfg])

@@ -3,12 +3,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mmwsel import kernels
 from mmwsel.channel import ArrayGeometry, ChannelConfig, substream
 from mmwsel.dataset import (BadMagic, LabelMismatch, TruncatedPayload,
                             VersionMismatch, build_dataset, label_sample,
                             load_dataset, load_split, normalize_sample,
                             restore_channel, split_counts)
+from mmwsel.rates import evaluate_selection
 from mmwsel.selection import combo_rank
 
 
@@ -60,7 +60,7 @@ def test_label_dominant_pair():
     label = label_sample(h, 2, 0.1)
     assert label == combo_rank([0, 1], 4, 2) == 0
     # verify by explicit enumeration over all 6 subsets
-    rates = {c: kernels.subset_rate_numpy(h, np.array(c), 0.1)[0]
+    rates = {c: evaluate_selection(h, c, 0.1).sum_rate
              for c in combinations(range(4), 2)}
     assert max(rates, key=rates.get) == (0, 1)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mmwsel import kernels
 from mmwsel.channel import ArrayGeometry, ChannelConfig, generate_channel_matrix, substream
+from mmwsel.rates import evaluate_selection
 from mmwsel.selection import (BpsoParams, all_subsets, bpso_select, combo_rank,
                               combo_unrank, exhaustive_search, greedy_select)
 
@@ -77,9 +78,8 @@ def test_es_matches_independent_enumeration():
         h = random_channel(seed)
         subset, rate = exhaustive_search(h, 2, 0.1)
         best = max(combinations(range(4), 2),
-                   key=lambda c: kernels.subset_rate_numpy(h, np.array(c), 0.1)[0])
-        assert rate == pytest.approx(
-            kernels.subset_rate_numpy(h, np.array(best), 0.1)[0], abs=1e-9)
+                   key=lambda c: evaluate_selection(h, c, 0.1).sum_rate)
+        assert rate == pytest.approx(evaluate_selection(h, best, 0.1).sum_rate, abs=1e-9)
         assert tuple(subset) == best
 
 
@@ -171,3 +171,44 @@ def test_method_ordering_statistics():
         es.append(es_rate)
         bp.append(bp_rate)
     assert np.mean(gr) <= np.mean(bp) <= np.mean(es)
+
+
+# ---------------------------------------------------------------------------
+# regression pins: picks of the per-subset straight-line kernel that the
+# batched engine replaced, on channel substream(seed)
+
+# seed: (ES label, greedy, BPSO pop 3 x 2 iterations, BPSO defaults), all
+# seed=seed; the picks are the same at 0, 10 and 20 dB SNR
+DESK_PINS = {
+    0: (3, (0, 1, 5), (1, 2, 5), (0, 1, 5)),
+    1: (12, (1, 2, 5), (2, 4, 5), (1, 2, 5)),
+    2: (17, (2, 3, 5), (0, 2, 3), (2, 3, 5)),
+    3: (18, (2, 4, 5), (0, 2, 5), (2, 4, 5)),
+    4: (3, (0, 1, 5), (0, 1, 5), (0, 1, 5)),
+    5: (2, (0, 1, 4), (1, 4, 5), (0, 1, 4)),
+    6: (5, (0, 2, 4), (0, 1, 2), (0, 2, 4)),
+    7: (12, (1, 2, 5), (0, 1, 5), (1, 2, 5)),
+    8: (7, (0, 3, 4), (0, 1, 3), (0, 3, 4)),
+    9: (7, (0, 3, 4), (0, 3, 4), (0, 3, 4)),
+}
+# seed: ES label at 144 antennas, 10 users, pick 6, 10 dB
+FULL_PINS = {0: 103, 1: 149, 2: 74}
+
+
+def test_regression_pins_desk():
+    for seed, (label, greedy, bpso_small, bpso) in DESK_PINS.items():
+        h = random_channel(seed, n_users=6)
+        for snr_db in (0.0, 10.0, 20.0):
+            noise = 10.0 ** (-snr_db / 10.0)
+            assert combo_rank(exhaustive_search(h, 3, noise)[0], 6, 3) == label
+            assert tuple(greedy_select(h, 3, noise)) == greedy
+            small = BpsoParams(pop_size=3, iterations=2, seed=seed)
+            assert tuple(bpso_select(h, 3, noise, small)) == bpso_small
+            assert tuple(bpso_select(h, 3, noise, BpsoParams(seed=seed))) == bpso
+
+
+def test_regression_pins_full_scale():
+    cfg = ChannelConfig(n_tx=144, n_users=10, geometry=ArrayGeometry(12, 12))
+    for seed, label in FULL_PINS.items():
+        h = generate_channel_matrix(cfg, substream(seed))
+        assert combo_rank(exhaustive_search(h, 6, 0.1)[0], 10, 6) == label
